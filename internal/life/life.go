@@ -100,16 +100,11 @@ type Spec struct {
 	BurnInRounds int
 	// Reference forces the frozen per-round sim.Run path (full config
 	// rebuild every round) instead of the round-persistent sim.Session.
-	// The two paths are byte-identical — locked by the differential
-	// matrix in session_test.go — so Reference exists for those tests
-	// and for honest benchmarking, not for production use.
+	// The two paths are byte-identical, so Reference is an oracle, not
+	// a production mode. Its users: the differential tests in
+	// session_test.go, the *Reference benchmarks in bench_test.go, and
+	// the repository benchmark's correctness check (perfbench).
 	Reference bool
-	// NoDelta keeps the session path but forces full Session.Run rounds
-	// instead of the default incremental Session.RunDelta — the
-	// `wsnlife -no-delta` escape hatch. Like Reference it never changes
-	// report bytes (RunDelta is byte-identical by contract), only how
-	// each round is computed.
-	NoDelta bool
 	// Workers sizes the cell-sharding pool (<= 0: GOMAXPROCS). Cells
 	// are sequential inside; the report is byte-identical at any count.
 	Workers int
@@ -251,13 +246,12 @@ type CellReport struct {
 	TotalEnergyJ float64      `json:"total_energy_j"`
 	Curve        []CurvePoint `json:"curve,omitempty"`
 
-	// DeltaHits / DeltaFallbacks are in-process debug counters: how many
-	// of the cell's rounds the session served from the incremental delta
-	// cone versus any full-engine path. Deliberately excluded from JSON
-	// (json:"-") so the wire format, checkpoints and result-cache
-	// identity are byte-identical whether or not the delta path ran —
-	// the differential matrix depends on that. Zero under
-	// Spec.Reference/NoDelta; counters reset on checkpoint resume.
+	// DeltaHits / DeltaFallbacks are in-process debug counters: of the
+	// rounds this RunCell call ran, how many the session served from
+	// its whole-round memo (sim.Session.MemoHits) versus simulated.
+	// Deliberately excluded from JSON (json:"-") so the wire format,
+	// checkpoints and result-cache identity never depend on them. Zero
+	// under Spec.Reference; a resumed call counts only its own rounds.
 	DeltaHits      uint64 `json:"-"`
 	DeltaFallbacks uint64 `json:"-"`
 }
@@ -354,6 +348,7 @@ func RunCell(ctx context.Context, spec Spec, index int, ck Checkpointer) (CellRe
 			}
 		}
 	}
+	resumedAt := st.rep.Rounds
 	every := spec.CheckpointEvery
 	if every <= 0 {
 		every = DefaultCheckpointEvery
@@ -375,7 +370,7 @@ func RunCell(ctx context.Context, spec Spec, index int, ck Checkpointer) (CellRe
 			}
 		}
 	}
-	return st.finish(), nil
+	return st.finish(st.rep.Rounds - resumedAt), nil
 }
 
 // cellState is one cell's mutable round-loop state.
@@ -587,12 +582,7 @@ func (st *cellState) round() error {
 	var res *sim.Result
 	var err error
 	if st.sess != nil {
-		at := st.spec.Topology.At(int(src))
-		if st.spec.NoDelta {
-			res, err = st.sess.Run(at)
-		} else {
-			res, err = st.sess.RunDelta(at)
-		}
+		res, err = st.sess.Run(st.spec.Topology.At(int(src)))
 	} else {
 		res, err = sim.Run(st.spec.Topology, st.spec.Protocol, st.spec.Topology.At(int(src)), st.roundConfig())
 	}
@@ -766,15 +756,14 @@ func (st *cellState) syncSession() {
 	}
 }
 
-// finish seals the report, folding the session's delta counters into
-// the debug fields and the package totals (served at /metrics).
-func (st *cellState) finish() CellReport {
+// finish seals the report, folding the session's memo counter into the
+// debug fields; ran is the number of rounds this RunCell call ran.
+func (st *cellState) finish(ran int) CellReport {
 	st.rep.Deaths = st.deadN
 	st.rep.TotalEnergyJ = st.energyJ
 	if st.sess != nil {
-		hits, falls := st.sess.DeltaStats()
-		st.rep.DeltaHits, st.rep.DeltaFallbacks = hits, falls
-		addDeltaTotals(hits, falls)
+		st.rep.DeltaHits = st.sess.MemoHits()
+		st.rep.DeltaFallbacks = uint64(ran) - st.rep.DeltaHits
 	}
 	return st.rep
 }

@@ -51,18 +51,15 @@ func TestSessionDifferentialMatrix(t *testing.T) {
 			}
 			wantJSON := mustJSON(t, want)
 			for _, workers := range []int{1, 2, 8} {
-				for _, noDelta := range []bool{false, true} {
-					spec := matrixSpec(k)
-					spec.Workers = workers
-					spec.NoDelta = noDelta
-					got, err := Run(context.Background(), spec)
-					if err != nil {
-						t.Fatalf("workers=%d noDelta=%v: %v", workers, noDelta, err)
-					}
-					if gotJSON := mustJSON(t, got); !bytes.Equal(gotJSON, wantJSON) {
-						t.Errorf("workers=%d noDelta=%v: session report differs from reference:\n got %s\nwant %s",
-							workers, noDelta, gotJSON, wantJSON)
-					}
+				spec := matrixSpec(k)
+				spec.Workers = workers
+				got, err := Run(context.Background(), spec)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if gotJSON := mustJSON(t, got); !bytes.Equal(gotJSON, wantJSON) {
+					t.Errorf("workers=%d: session report differs from reference:\n got %s\nwant %s",
+						workers, gotJSON, wantJSON)
 				}
 			}
 		})
@@ -223,5 +220,170 @@ func TestRoundAllocationBudget(t *testing.T) {
 	if perRound > 4 {
 		t.Errorf("steady-state lifetime round allocates %.2f/round (%.0f @64 rounds, %.0f @256), budget is 4",
 			perRound, short, long)
+	}
+}
+
+// The memo counters: a static death-only cell serves rounds from the
+// session's whole-round memo, every round a RunCell call runs lands in
+// exactly one counter — a call resumed from a checkpoint counts only
+// its own rounds — and the reference path reports zero on both.
+func TestDeltaCountersPopulated(t *testing.T) {
+	spec := matrixSpec(grid.Mesh2D4)
+	spec.Strategies = []Strategy{Static}
+	spec.PFail = nil // death-only: most rounds change nothing
+	spec.CheckpointEvery = 8
+
+	rec := &memCkpt{}
+	rep, err := RunCell(context.Background(), spec, 0, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DeltaHits == 0 {
+		t.Errorf("static death-only cell recorded no memo hits over %d rounds", rep.Rounds)
+	}
+	if got := rep.DeltaHits + rep.DeltaFallbacks; got != uint64(rep.Rounds) {
+		t.Errorf("hits %d + fallbacks %d != %d rounds", rep.DeltaHits, rep.DeltaFallbacks, rep.Rounds)
+	}
+
+	if len(rec.saves) == 0 {
+		t.Fatalf("no checkpoints taken over %d rounds", rep.Rounds)
+	}
+	for si, save := range rec.saves {
+		resumed, err := RunCell(context.Background(), spec, 0, &memCkpt{loaded: save})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := uint64(resumed.Rounds - (si+1)*spec.CheckpointEvery)
+		if got := resumed.DeltaHits + resumed.DeltaFallbacks; got != ran {
+			t.Errorf("resume from save %d: hits %d + fallbacks %d != %d rounds run",
+				si, resumed.DeltaHits, resumed.DeltaFallbacks, ran)
+		}
+	}
+
+	ref := spec
+	ref.Reference = true
+	r, err := RunCell(context.Background(), ref, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.DeltaHits != 0 || r.DeltaFallbacks != 0 {
+		t.Errorf("reference path recorded memo counters: hits %d fallbacks %d", r.DeltaHits, r.DeltaFallbacks)
+	}
+}
+
+// The memo counters are debug-only: two reports differing solely in
+// them must marshal to identical bytes, or the differential matrix,
+// checkpoints and result-cache identity would all see phantom diffs.
+func TestDeltaCountersInvisibleOnWire(t *testing.T) {
+	a := CellReport{Strategy: "static", Rounds: 7}
+	b := a
+	b.DeltaHits, b.DeltaFallbacks = 6, 1
+	if !bytes.Equal(mustJSON(t, a), mustJSON(t, b)) {
+		t.Error("memo counters leak into the CellReport JSON")
+	}
+}
+
+// With p_fail == 0 and p_new == 0 the churn sweep is skipped entirely.
+// The report must stay byte-identical to the reference path, and
+// burn-in — which only advances the (empty) chain — must change
+// nothing.
+func TestChurnZeroSweepSkipByteIdentity(t *testing.T) {
+	spec := matrixSpec(grid.Mesh2D4)
+	spec.PFail = []float64{0}
+	spec.PNew = 0
+
+	ref := spec
+	ref.Reference = true
+	want, err := Run(context.Background(), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+		t.Error("churn-0 session report differs from reference")
+	}
+
+	burned := spec
+	burned.BurnInRounds = 32
+	burnedRep, err := Run(context.Background(), burned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustJSON(t, burnedRep), mustJSON(t, want)) {
+		t.Error("burn-in on a churn-0 study changed the report")
+	}
+}
+
+// Permanent failures (p_new == 0, p_fail > 0) take the skip-the-
+// recovery-draw branch; the report must still match the reference.
+func TestPermanentFailureChurnByteIdentity(t *testing.T) {
+	spec := matrixSpec(grid.Mesh2D4)
+	spec.PFail = []float64{0.05}
+	spec.PNew = 0
+
+	ref := spec
+	ref.Reference = true
+	want, err := Run(context.Background(), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+		t.Error("permanent-failure session report differs from reference")
+	}
+}
+
+// Rotation edge case: a round whose own source dies during that round.
+// pickSource only ever returns alive nodes, so a dead prevSrc after
+// round() means the source died while sourcing; the loop must carry on
+// (round-robin skips the corpse) and the session and reference paths
+// must agree byte for byte.
+func TestRotationSourceDiesSameRound(t *testing.T) {
+	topo := grid.New(grid.Mesh2D4, 8, 8, 1)
+	spec := Spec{
+		Topology:     topo,
+		Protocol:     core.ForTopology(grid.Mesh2D4),
+		Source:       topo.At(topo.NumNodes() / 2),
+		BudgetJ:      0.003,
+		MaxRounds:    96,
+		Seed:         11,
+		Replications: 1,
+		Strategies:   []Strategy{RoundRobin},
+	}
+	probe := spec
+	probe.Reference = true
+	st, err := newCellState(probe, probe.CellAt(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	occurred := false
+	for !st.stopped() {
+		if err := st.round(); err != nil {
+			t.Fatal(err)
+		}
+		if st.dead[st.prevSrc] {
+			occurred = true
+		}
+	}
+	if !occurred {
+		t.Fatalf("no source died during its own round in %d rounds; retune the budget", st.rep.Rounds)
+	}
+
+	want, err := RunCell(context.Background(), probe, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunCell(context.Background(), spec, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+		t.Error("session report differs from reference after a same-round source death")
 	}
 }

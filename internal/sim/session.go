@@ -48,7 +48,10 @@ func LinksOf(t grid.Topology) []IndexLink {
 //     source) — the Protocol contract — so graph mutations never
 //     invalidate one);
 //   - the Result's slices live in a session-owned arena, rewritten in
-//     place each Run.
+//     place each Run;
+//   - a Run whose source and graph match the previous successful Run
+//     returns that Run's Result without simulating (the whole-round
+//     memo): a broadcast is a pure function of (graph, source).
 //
 // The live adjacency invariant — every live node's row equals its
 // pristine row filtered by (neighbor alive && link up), order
@@ -57,9 +60,10 @@ func LinksOf(t grid.Topology) []IndexLink {
 // byte-identical to the one-shot path (locked by the differential
 // tests).
 //
-// The returned Result and its slices are valid until the next Run,
-// Reset, or mutation on the same session. A Session is not safe for
-// concurrent use; Config.Workers still parallelizes inside each Run.
+// The returned Result and its slices are read-only and valid until the
+// next Run, Reset, or mutation on the same session. A Session is not
+// safe for concurrent use; Config.Workers still parallelizes inside
+// each Run.
 type Session struct {
 	topo  grid.Topology
 	proto Protocol
@@ -86,13 +90,14 @@ type Session struct {
 	res   Result
 	arena resultArena
 
-	// Delta-propagation state (delta.go): the previous round's full
-	// propagation artifacts plus the mutation seeds accumulated since,
-	// and the scratch arena RunDelta's cone walk runs in.
-	dcache    deltaCache
-	dx        deltaScratch
-	deltaHits uint64
-	deltaFall [fbCount]uint64
+	// Whole-round memo: while memoOK, res holds the bytes of the last
+	// Run, from memoSrc, and the graph has not changed since. Every
+	// effective mutation and Reset clears it; it is never armed under
+	// Trace (a memo hit would emit no events) or Channel (loss is not
+	// part of the graph the memo keys on).
+	memoOK   bool
+	memoSrc  int32
+	memoHits uint64
 }
 
 // NewSession validates the configuration once and builds the pristine
@@ -173,7 +178,7 @@ func (s *Session) SetNodeDown(i int) error {
 		s.adj[nb] = removeNeighbor(s.adj[nb], int32(i))
 	}
 	s.adj[i] = nil
-	s.noteDeath(int32(i))
+	s.memoOK = false
 	return nil
 }
 
@@ -191,7 +196,7 @@ func (s *Session) SetLinkDown(id int) error {
 	lk := s.links[id]
 	s.adj[lk.A] = removeNeighbor(s.adj[lk.A], lk.B)
 	s.adj[lk.B] = removeNeighbor(s.adj[lk.B], lk.A)
-	s.noteFlip(int32(id))
+	s.memoOK = false
 	return nil
 }
 
@@ -212,7 +217,7 @@ func (s *Session) SetLinkUp(id int) error {
 	lk := s.links[id]
 	s.rebuildRow(lk.A)
 	s.rebuildRow(lk.B)
-	s.noteFlip(int32(id))
+	s.memoOK = false
 	return nil
 }
 
@@ -297,36 +302,45 @@ func (s *Session) Reset() {
 	if s.linkDown != nil {
 		clear(s.linkDown)
 	}
-	s.invalidateCache()
-	// A Reset starts a fresh study state; overload history from the
-	// previous one has no bearing on it.
-	s.dcache.overloads, s.dcache.suppress, s.dcache.suppressLen = 0, 0, 0
+	s.memoOK = false
 }
 
 // Run simulates one broadcast from src on the session's current live
 // graph, reusing the session's compiled plan for that source and
 // writing the Result into the session arena. Semantics, error cases
 // and — for equal node/link state — output bytes match sim.Run
-// exactly; only the setup cost differs. The Result is valid until the
-// next Run, Reset, or mutation.
+// exactly; only the setup cost differs. When nothing has changed
+// since the previous successful Run from the same source, Run returns
+// that Result again without simulating (see MemoHits). The Result is
+// valid until the next Run, Reset, or mutation.
 func (s *Session) Run(src grid.Coord) (*Result, error) {
-	if err := s.validateSource(src); err != nil {
+	if !s.topo.Contains(src) {
+		return nil, fmt.Errorf("sim: source %s outside %s mesh", src, s.topo.Kind())
+	}
+	srcIdx := int32(s.topo.Index(src))
+	if s.down != nil && s.down[srcIdx] {
+		return nil, fmt.Errorf("sim: source %s is down", src)
+	}
+	if s.memoOK && s.memoSrc == srcIdx {
+		s.memoHits++
+		return &s.res, nil
+	}
+	s.memoOK = false // s.res is about to be overwritten
+	e := getEngine(s.topo, s.proto, s.planOf(src, srcIdx), src, s.cfg, nil, s.adj, s.runDown())
+	defer e.release()
+	if err := e.runSchedule(); err != nil {
 		return nil, err
 	}
-	return s.runPlain(src)
+	res := e.finishInto(&s.res, &s.arena)
+	e.flushTrace()
+	s.memoOK = s.cfg.Trace == nil && s.cfg.Channel == nil
+	s.memoSrc = srcIdx
+	return res, nil
 }
 
-// validateSource applies Run's source checks, shared with RunDelta so
-// both entry points return identical errors.
-func (s *Session) validateSource(src grid.Coord) error {
-	if !s.topo.Contains(src) {
-		return fmt.Errorf("sim: source %s outside %s mesh", src, s.topo.Kind())
-	}
-	if s.down != nil && s.down[s.topo.Index(src)] {
-		return fmt.Errorf("sim: source %s is down", src)
-	}
-	return nil
-}
+// MemoHits reports how many Run calls on this session returned the
+// previous Result from the whole-round memo instead of simulating.
+func (s *Session) MemoHits() uint64 { return s.memoHits }
 
 // planOf returns the session-cached compiled plan for src.
 func (s *Session) planOf(src grid.Coord, srcIdx int32) *relayPlan {
@@ -347,23 +361,4 @@ func (s *Session) runDown() []bool {
 		return nil
 	}
 	return s.down
-}
-
-// runPlain is the full, non-capturing simulation path: exactly the
-// pre-delta Session.Run body. It invalidates the cached Result bytes
-// (s.res is about to be overwritten) but leaves the delta cache's
-// replay snapshots alone — a RunDelta for the cached source can still
-// re-engage afterwards because mutation seeds keep accumulating.
-func (s *Session) runPlain(src grid.Coord) (*Result, error) {
-	srcIdx := int32(s.topo.Index(src))
-	pl := s.planOf(src, srcIdx)
-	s.dcache.resValid = false
-	e := getEngine(s.topo, s.proto, pl, src, s.cfg, nil, s.adj, s.runDown())
-	defer e.release()
-	if err := e.runSchedule(); err != nil {
-		return nil, err
-	}
-	res := e.finishInto(&s.res, &s.arena)
-	e.flushTrace()
-	return res, nil
 }

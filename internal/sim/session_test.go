@@ -69,6 +69,27 @@ func (h *sessionHarness) linkUp(id int) {
 	delete(h.cut, id)
 }
 
+// stormStep toggles flips pseudo-random links: cut ones come back up,
+// live ones are cut.
+func (h *sessionHarness) stormStep(next func(int) int, flips int) {
+	for f := 0; f < flips; f++ {
+		id := next(len(h.links))
+		if h.cut[id] {
+			h.linkUp(id)
+		} else {
+			h.linkDown(id)
+		}
+	}
+}
+
+// lcg returns a deterministic pseudo-random index generator.
+func lcg(seed uint64) func(int) int {
+	return func(n int) int {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return int((seed >> 33) % uint64(n))
+	}
+}
+
 // oneShotConfig rebuilds the Down/DownLinks lists sim.Run would need
 // for the session's current state, in deterministic dense order (the
 // order the lifetime engine's roundConfig uses).
@@ -181,21 +202,9 @@ func TestSessionDifferentialAllKinds(t *testing.T) {
 func TestSessionDifferentialChurnStorm(t *testing.T) {
 	topo := grid.NewMesh2D4(10, 10)
 	h := newSessionHarness(t, topo, core.ForTopology(grid.Mesh2D4), sim.Config{})
-	nl := len(h.links)
-	rng := uint64(12345)
-	next := func(n int) int {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return int((rng >> 33) % uint64(n))
-	}
+	next := lcg(12345)
 	for step := 0; step < 12; step++ {
-		for f := 0; f < 10; f++ {
-			id := next(nl)
-			if h.cut[id] {
-				h.linkUp(id)
-			} else {
-				h.linkDown(id)
-			}
-		}
+		h.stormStep(next, 10)
 		if step%3 == 2 {
 			i := next(topo.NumNodes())
 			if i != topo.NumNodes()/2 && !h.down[i] {
@@ -260,6 +269,152 @@ func TestSessionReset(t *testing.T) {
 	}
 	if h.sess.NodeDown(10) || h.sess.LinkDown(5) {
 		t.Error("Reset left node/link state set")
+	}
+}
+
+// SetLinkUp on a link whose endpoint node is already down must keep
+// the dead node's row empty while restoring the live endpoint's view.
+func TestSessionLinkUpWithDeadEndpoint(t *testing.T) {
+	topo := grid.NewMesh2D4(8, 8)
+	h := newSessionHarness(t, topo, core.ForTopology(grid.Mesh2D4), sim.Config{})
+	src := topo.At(topo.NumNodes() / 2)
+	// Find a link incident to node 9, kill node 9, then cut and restore
+	// that link between rounds.
+	id := -1
+	for i, lk := range h.links {
+		if lk.A == 9 || lk.B == 9 {
+			id = i
+			break
+		}
+	}
+	if id < 0 {
+		t.Fatal("node 9 has no links")
+	}
+	h.nodeDown(9)
+	h.check(src, "dead endpoint")
+	h.linkDown(id)
+	h.check(src, "cut link on dead endpoint")
+	h.linkUp(id)
+	h.check(src, "restored link on dead endpoint")
+}
+
+// Repeated SetNodeDown of the same node is a no-op after the first
+// call: the graph is unchanged, so the memo keeps serving the round.
+func TestSessionRepeatedNodeDownDelta(t *testing.T) {
+	topo := grid.NewMesh2D4(8, 8)
+	h := newSessionHarness(t, topo, core.ForTopology(grid.Mesh2D4), sim.Config{})
+	src := topo.At(topo.NumNodes() / 2)
+	h.check(src, "pristine")
+	h.nodeDown(12)
+	h.check(src, "first death")
+	for i := 0; i < 3; i++ {
+		if err := h.sess.SetNodeDown(12); err != nil {
+			t.Fatal(err)
+		}
+		h.check(src, "repeated death")
+	}
+	if h.sess.MemoHits() != 3 {
+		t.Errorf("memo hits = %d, want 3: repeated deaths change nothing", h.sess.MemoHits())
+	}
+}
+
+// The whole-round memo: an unchanged graph returns the previous Result
+// and counts a hit; every effective mutation (including a toggle-back
+// that restores the same graph), Reset, source change and failed run
+// forces a fresh simulation that matches sim.Run; Trace and Channel
+// configs are never memoized.
+func TestSessionRunMemo(t *testing.T) {
+	topo := grid.NewMesh2D4(8, 8)
+	p := core.ForTopology(grid.Mesh2D4)
+	src := topo.At(36)
+	h := newSessionHarness(t, topo, p, sim.Config{})
+	first, err := h.sess.Run(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := h.sess.Run(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != again {
+		t.Error("unchanged-graph Run returned a different Result")
+	}
+	if h.sess.MemoHits() != 1 {
+		t.Fatalf("memo hits = %d after an unchanged round, want 1", h.sess.MemoHits())
+	}
+	// fresh asserts that the next Run simulates (no memo hit) and
+	// matches the oracle, and that the unchanged round after it hits.
+	fresh := func(at grid.Coord, label string) {
+		t.Helper()
+		before := h.sess.MemoHits()
+		h.check(at, label)
+		if h.sess.MemoHits() != before {
+			t.Errorf("%s: served from the memo", label)
+		}
+		h.check(at, label+", unchanged") // re-arms: must hit
+		if h.sess.MemoHits() != before+1 {
+			t.Errorf("%s: unchanged follow-up round missed the memo", label)
+		}
+	}
+	h.nodeDown(5)
+	fresh(src, "node death")
+	h.linkDown(40)
+	fresh(src, "link cut")
+	h.linkUp(40)
+	fresh(src, "link restore")
+	h.linkDown(17)
+	h.linkUp(17)
+	fresh(src, "toggle-back flip")
+	h.sess.Reset()
+	h.down, h.cut = map[int]bool{}, map[int]bool{}
+	fresh(src, "reset")
+	fresh(topo.At(0), "source change")
+
+	// A failed run disarms the memo: with MaxSlots 10 the center source
+	// fits and the corner source overruns.
+	cfg := sim.Config{MaxSlots: 10}
+	h = newSessionHarness(t, topo, p, cfg)
+	h.check(src, "center under MaxSlots")
+	if _, err := h.sess.Run(topo.At(0)); err == nil {
+		t.Fatal("corner source fit in MaxSlots 10: pick a smaller bound")
+	}
+	fresh(src, "after a failed run")
+
+	// Trace: every Run emits the full event stream again.
+	var events []sim.Event
+	tcfg := sim.Config{Trace: func(ev sim.Event) { events = append(events, ev) }}
+	tsess, err := sim.NewSession(topo, p, tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streams [2][]sim.Event
+	for i := range streams {
+		events = nil
+		if _, err := tsess.Run(src); err != nil {
+			t.Fatal(err)
+		}
+		streams[i] = events
+	}
+	if len(streams[0]) == 0 || len(streams[1]) != len(streams[0]) {
+		t.Fatalf("traced rounds emitted %d then %d events", len(streams[0]), len(streams[1]))
+	}
+	for i := range streams[0] {
+		if streams[0][i] != streams[1][i] {
+			t.Fatalf("traced round 2 event %d: %+v, round 1 had %+v", i, streams[1][i], streams[0][i])
+		}
+	}
+	if tsess.MemoHits() != 0 {
+		t.Errorf("traced session served %d rounds from the memo", tsess.MemoHits())
+	}
+
+	// Channel: the engine runs every round.
+	ccfg := sim.Config{Channel: sim.NewBernoulliLoss(9, 0.1)}
+	h = newSessionHarness(t, topo, p, ccfg)
+	for i := 0; i < 3; i++ {
+		h.check(src, "lossy round")
+	}
+	if h.sess.MemoHits() != 0 {
+		t.Errorf("lossy session served %d rounds from the memo", h.sess.MemoHits())
 	}
 }
 
