@@ -42,9 +42,9 @@ bench-engine:
 	$(GO) test ./internal/life -run='^$$' -bench=. -benchmem | tee -a bench/current.txt
 
 # Large-grid scaling suite (64^2 to 1024^2 plus 128^3): the implicit
-# fast path at Workers=1 and auto, the forced materialized path, the
-# preserved reference engine, and the engine-loop-only measurement that
-# isolates steady-state arena allocation from the Result arrays. Low
+# fast path, the forced materialized path, the preserved reference
+# engine, and the engine-loop-only measurement that isolates
+# steady-state arena allocation from the Result arrays. Low
 # fixed iteration count — single iterations of the biggest meshes are
 # already statistically quiet, and the materialized 128^3 run costs
 # seconds per op.

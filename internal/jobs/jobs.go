@@ -336,37 +336,34 @@ func (m *Manager) Recover() (int, error) {
 		if err := json.Unmarshal(raw, &rec); err != nil || rec.ID == "" {
 			continue // unreadable record: ignore rather than refuse to start
 		}
-		if err := m.recoverOne(rec); err != nil {
+		queued, err := m.recoverOne(rec)
+		if err != nil {
 			return resumed, fmt.Errorf("jobs: recover %s: %w", rec.ID, err)
 		}
-		m.mu.Lock()
-		j := m.jobs[rec.ID]
-		m.mu.Unlock()
-		if j != nil {
-			j.mu.Lock()
-			st := j.state
-			j.mu.Unlock()
-			if st == StateQueued {
-				resumed++
-			}
+		if queued {
+			resumed++
 		}
 	}
 	return resumed, nil
 }
 
-func (m *Manager) recoverOne(rec record) error {
+// recoverOne registers one persisted job and reports whether it was
+// re-queued. The answer is decided under m.mu, where the job is
+// queued: once the lock is released the dispatcher may already be
+// running it, so its state can no longer tell.
+func (m *Manager) recoverOne(rec record) (queued bool, err error) {
 	sc, err := scenario.Load(bytes.NewReader(rec.Scenario))
 	if err != nil {
-		return err
+		return false, err
 	}
 	sc = sc.Canonical()
 	pl, err := compilePlan(rec.Kind, sc)
 	if err != nil {
-		return err
+		return false, err
 	}
 	scJSON, err := json.Marshal(sc)
 	if err != nil {
-		return err
+		return false, err
 	}
 	created := time.UnixMilli(rec.CreatedMs)
 	j := &job{
@@ -380,7 +377,7 @@ func (m *Manager) recoverOne(rec record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.jobs[rec.ID]; ok {
-		return nil // already live (Submit raced Recover)
+		return false, nil // already live (Submit raced Recover)
 	}
 	switch rec.State {
 	case StateDone:
@@ -395,20 +392,20 @@ func (m *Manager) recoverOne(rec record) error {
 		j.result = body
 		close(j.finished)
 		m.jobs[rec.ID] = j
-		return nil
+		return false, nil
 	case StateFailed:
 		j.state = StateFailed
 		j.err = errors.New(rec.Error)
 		close(j.finished)
 		m.jobs[rec.ID] = j
-		return nil
+		return false, nil
 	}
 	// Queued or running (or done-with-missing-result): scan the store
 	// for points that already finished and queue the rest.
 	for i := 0; i < pl.total; i++ {
 		key, err := pointKey(rec.Kind, sc, i)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if body, ok := m.cfg.Store.Get(key); ok {
 			j.payloads[i] = body
@@ -421,7 +418,7 @@ func (m *Manager) recoverOne(rec record) error {
 	m.persistLocked(j)
 	m.queue = append(m.queue, j)
 	m.wakeUp()
-	return nil
+	return true, nil
 }
 
 // Get returns the status of the job with the given id.

@@ -132,11 +132,8 @@ func RunLanes(spec LaneSpec) ([]LaneResult, error) {
 	if !t.Contains(spec.Source) || t.NumNodes() > laneMaxNodes {
 		return nil, ErrLaneFallback
 	}
-	cfg := spec.Config.withDefaults(t.NumNodes())
-	if err := cfg.Packet.Validate(); err != nil {
-		return nil, ErrLaneFallback
-	}
-	if cfg.MaxSlots >= math.MaxInt32 {
+	cfg, err := spec.Config.prepared(t.NumNodes())
+	if err != nil {
 		return nil, ErrLaneFallback
 	}
 	srcIdx := t.Index(spec.Source)
@@ -325,14 +322,10 @@ func getLaneEngine(t grid.Topology, p Protocol, spec LaneSpec, cfg Config) *lane
 		laneSeedPrefix(spec.Seeds, domainLoss, &e.lossH2)
 	}
 
-	// Same neighbor-source policy as runLoop; the lane engine never
-	// prunes adjacency (failures are lane-local), so the shared cached
-	// lists are used read-only.
-	e.ix, e.adj = nil, nil
-	if gix, ok := t.(grid.NeighborIndexer); ok &&
-		(t.Kind() == grid.Irregular || e.v >= largeGridNodes) {
-		e.ix = gix
-	} else {
+	// The lane engine never prunes adjacency (failures are lane-local),
+	// so the shared cached lists are used read-only.
+	e.ix, e.adj = implicitNeighbors(t), nil
+	if e.ix == nil {
 		e.adj = buildAdjacency(t, false)
 	}
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"wsnbcast/internal/grid"
 )
@@ -62,8 +61,7 @@ func LinksOf(t grid.Topology) []IndexLink {
 //
 // The returned Result and its slices are read-only and valid until the
 // next Run, Reset, or mutation on the same session. A Session is not
-// safe for concurrent use; Config.Workers still parallelizes inside
-// each Run.
+// safe for concurrent use.
 type Session struct {
 	topo  grid.Topology
 	proto Protocol
@@ -111,12 +109,9 @@ func NewSession(t grid.Topology, p Protocol, cfg Config) (*Session, error) {
 		return nil, fmt.Errorf("sim: session owns Down and DownLinks; use SetNodeDown/SetLinkDown")
 	}
 	v := t.NumNodes()
-	cfg = cfg.withDefaults(v)
-	if err := cfg.Packet.Validate(); err != nil {
+	cfg, err := cfg.prepared(v)
+	if err != nil {
 		return nil, err
-	}
-	if cfg.MaxSlots >= math.MaxInt32 {
-		return nil, fmt.Errorf("sim: MaxSlots %d exceeds the engine's int32 slot limit", cfg.MaxSlots)
 	}
 	s := &Session{
 		topo:  t,
